@@ -24,11 +24,11 @@ Switches under test:
   in the global heap instead of the per-node serial-queue k-way merge;
 * ``BottomLayer.batch_verify`` -- off = packed datagrams verify each
   inner message through the per-message reference path instead of one
-  ``verify_batch`` call per drain;
-* ``OrderingLayer.fast_path_enabled`` -- the optimistic 2-step ordering
-  fast path's kill switch: with the ``ordering_fast_path`` config knob
-  off (the default), flipping the class switch must change nothing, i.e.
-  the fast-path integration is byte-invisible until explicitly enabled.
+  ``verify_batch`` call per drain.
+
+Total ordering is covered by the golden corpus instead
+(``tests/test_golden_ordering.py``): seed-pinned fingerprints of
+total-order runs with the ``ordering_fast_path`` knob off and on.
 """
 
 from contextlib import contextmanager
@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from repro import StackConfig
 from repro.core.message import Message
 from repro.layers.bottom import BottomLayer
-from repro.layers.ordering import OrderingLayer
 from repro.layers.reliable import ReliableLayer
 from repro.sim.scheduler import Simulator
 from repro.tools.fuzzer import ScenarioFuzzer
@@ -44,27 +43,24 @@ from repro.tools.fuzzer import ScenarioFuzzer
 
 @contextmanager
 def switches(cache=True, token_mode="digest", incremental=True,
-             ack_memo=True, serial=True, batch=True, fast=True):
+             ack_memo=True, serial=True, batch=True):
     saved = (Message.auth_cache_enabled, Message.auth_token_mode,
              ReliableLayer.incremental_ack_vector,
              ReliableLayer.ack_vector_memo,
-             Simulator.serial_queues, BottomLayer.batch_verify,
-             OrderingLayer.fast_path_enabled)
+             Simulator.serial_queues, BottomLayer.batch_verify)
     Message.auth_cache_enabled = cache
     Message.auth_token_mode = token_mode
     ReliableLayer.incremental_ack_vector = incremental
     ReliableLayer.ack_vector_memo = ack_memo
     Simulator.serial_queues = serial
     BottomLayer.batch_verify = batch
-    OrderingLayer.fast_path_enabled = fast
     try:
         yield
     finally:
         (Message.auth_cache_enabled, Message.auth_token_mode,
          ReliableLayer.incremental_ack_vector,
          ReliableLayer.ack_vector_memo,
-         Simulator.serial_queues, BottomLayer.batch_verify,
-         OrderingLayer.fast_path_enabled) = saved
+         Simulator.serial_queues, BottomLayer.batch_verify) = saved
 
 
 def run_scenario(seed, config, **fuzz_kw):
@@ -90,10 +86,9 @@ VARIANTS = {
     "no-ack-memo": dict(ack_memo=False),
     "heap-schedule": dict(serial=False),
     "per-frame-verify": dict(batch=False),
-    "no-fast-path": dict(fast=False),
     "all-reference": dict(cache=False, token_mode="content",
                           incremental=False, ack_memo=False,
-                          serial=False, batch=False, fast=False),
+                          serial=False, batch=False),
 }
 
 
@@ -137,15 +132,6 @@ def test_parity_gossip_acks():
                   n=6, ops=5, allow=("cast_burst", "run"))
 
 
-def test_parity_total_order_fast_path_off():
-    # total ordering with the ordering_fast_path knob at its default
-    # (off): the fast-path integration -- wrapper instances, eager
-    # coordinator starts, latency stamps, the dec responder -- must be
-    # completely inert, leaving histories/metrics/event counts identical
-    # whether the class switch is on or off
-    assert_parity(606, StackConfig.byz(crypto="sym", total_order=True))
-
-
 def test_parity_wire_knobs():
     """The wire-path coalescing knobs live strictly below the ``network``
     seam: the simulator never reads them, so any combination must leave
@@ -162,18 +148,16 @@ def test_parity_wire_knobs():
 
 def test_switches_restore():
     with switches(cache=False, token_mode="content", incremental=False,
-                  ack_memo=False, serial=False, batch=False, fast=False):
+                  ack_memo=False, serial=False, batch=False):
         assert Message.auth_cache_enabled is False
         assert Message.auth_token_mode == "content"
         assert ReliableLayer.incremental_ack_vector is False
         assert ReliableLayer.ack_vector_memo is False
         assert Simulator.serial_queues is False
         assert BottomLayer.batch_verify is False
-        assert OrderingLayer.fast_path_enabled is False
     assert Message.auth_cache_enabled is True
     assert Message.auth_token_mode == "digest"
     assert ReliableLayer.incremental_ack_vector is True
     assert ReliableLayer.ack_vector_memo is True
     assert Simulator.serial_queues is True
     assert BottomLayer.batch_verify is True
-    assert OrderingLayer.fast_path_enabled is True
