@@ -4,13 +4,14 @@ Unit tests drive :class:`FastPathConsensus` over the same direct message
 bus as the vector-consensus tests; stack tests boot full groups with
 ``ordering_fast_path=True`` and check the layer integration -- pipelined
 instances, identical total order, the view-change seam, the stale-instance
-``dec`` responder, and equivalence of the delivered set with the fast
-path off.
+``dec`` responder, per-sender FIFO across overlapping instances, and
+equivalence of the delivered set with the fast path off.
 """
 
 import pytest
 
 from repro import Group, StackConfig
+from repro.chaos import FaultPlan, run_plan
 from repro.consensus.fastpath import (FastPathConsensus, fast_coordinator,
                                       proposal_digest)
 from repro.core.properties import check_virtual_synchrony
@@ -371,3 +372,19 @@ def test_stack_fast_on_off_deliver_same_messages():
     # deliver exactly the same set of messages
     assert {m for m, _p in fast_order} == {m for m, _p in slow_order}
     assert len(fast_order) == 6
+
+
+def test_pipelined_overlap_keeps_per_sender_fifo():
+    # shrunk from chaos seed 211 (byz-fast preset, failure-free): instance
+    # 5's coordinator decided casts 6-8 of node 5, while the next
+    # coordinator still guessed instance 5 covered 6-10 and proposed cast
+    # 11 for instance 6 -- every member then delivered 8 -> 11 -> 9
+    plan = FaultPlan(seed=211, n=10, ops=[["cast", 5, 11]],
+                     config={"byzantine": True, "crypto": "sym",
+                             "total_order": True,
+                             "ordering_fast_path": True})
+    violations, engine = run_plan(plan)
+    assert violations == []
+    delivered = [e.msg_id[1] for e in engine.group.endpoints[0].events
+                 if type(e).__name__ == "CastDeliver" and e.msg_id[0] == 5]
+    assert delivered == list(range(1, 12))
